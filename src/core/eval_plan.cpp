@@ -1,12 +1,14 @@
 #include "core/eval_plan.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <limits>
 
 #include "core/algebra.hpp"
 #include "core/network.hpp"
 #include "obs/obs.hpp"
+#include "util/thread_pool.hpp"
 
 namespace st {
 
@@ -302,19 +304,18 @@ EvalProgram::run(std::span<const Node> nodes,
 
 namespace {
 
+#if !defined(__aarch64__)
+
 /**
- * Lane-blocked executor body, shared by the fixed-width instantiation
- * (block loops fully unrolled) and the runtime-width tail-block one
- * (kLanes == 0). Row layout and per-op semantics are documented on
- * EvalProgram::runBlock.
+ * Portable body of runProgramBlock (block loops fully unrolled); the
+ * SIMD bodies must match it bit-for-bit. Row layout and per-op
+ * semantics are documented on runProgramBlock.
  */
-template <size_t kLanes>
 void
-runBlockImpl(const EvalProgramView &prog, std::span<const Node> nodes,
-             std::span<const std::vector<Time>> batch,
-             std::vector<Time> &values)
+runBlockScalar8(const EvalProgramView &prog, std::span<const Node> nodes,
+                EvalBlockLanes rows, std::vector<Time> &values)
 {
-    const size_t lanes = kLanes == 0 ? batch.size() : kLanes;
+    constexpr size_t lanes = kEvalBlockLanes;
     values.resize(prog.op.size() * lanes);
     Time *v = values.data();
     const uint32_t *slot = prog.argSlot.data();
@@ -337,7 +338,7 @@ runBlockImpl(const EvalProgramView &prog, std::span<const Node> nodes,
                 Time *o = v + i * lanes;
                 const uint32_t src = prog.extra[i];
                 for (size_t l = 0; l < lanes; ++l)
-                    o[l] = batch[l][src];
+                    o[l] = rows[l][src];
             }
             break;
           case PlanOp::Config:
@@ -437,6 +438,8 @@ runBlockImpl(const EvalProgramView &prog, std::span<const Node> nodes,
     }
 }
 
+#endif // !__aarch64__
+
 #ifdef ST_EVAL_PLAN_SIMD
 
 /** One-time CPUID probe guarding the AVX2 executor body. */
@@ -481,49 +484,85 @@ evalSimdBodyName()
 }
 
 void
-runProgramBlock(const EvalProgramView &prog,
-                std::span<const Node> nodes,
-                std::span<const std::vector<Time>> batch,
-                std::vector<Time> &values)
+runProgramBlock(const EvalProgramView &prog, std::span<const Node> nodes,
+                EvalBlockLanes rows, std::vector<Time> &values)
 {
-    if (batch.size() == kEvalBlockLanes) {
 #if defined(__aarch64__)
-        // NEON is baseline on aarch64: compile-time dispatch, no probe.
-        ST_OBS_ADD("eval.block.neon", 1);
-        detail::runBlockLanes8Neon(prog, nodes, batch, values);
-        return;
+    // NEON is baseline on aarch64: compile-time dispatch, no probe.
+    ST_OBS_ADD("eval.block.neon", 1);
+    detail::runBlockLanes8Neon(prog, nodes, rows, values);
 #else
 #ifdef ST_EVAL_PLAN_SIMD
 #ifdef ST_EVAL_PLAN_SIMD512
-        // Widest ISA first: the probes are one-time statics, so the
-        // steady state is two predictable branches.
-        if (cpuHasAvx512()) {
-            ST_OBS_ADD("eval.block.avx512", 1);
-            detail::runBlockLanes8Avx512(prog, nodes, batch, values);
-            return;
-        }
-#endif
-        if (cpuHasAvx2()) {
-            ST_OBS_ADD("eval.block.avx2", 1);
-            detail::runBlockLanes8Avx2(prog, nodes, batch, values);
-            return;
-        }
-#endif
-        ST_OBS_ADD("eval.block.scalar", 1);
-        runBlockImpl<kEvalBlockLanes>(prog, nodes, batch, values);
-#endif // __aarch64__
-    } else {
-        ST_OBS_ADD("eval.block.tail", 1);
-        runBlockImpl<0>(prog, nodes, batch, values);
+    // Widest ISA first: the probes are one-time statics, so the
+    // steady state is two predictable branches.
+    if (cpuHasAvx512()) {
+        ST_OBS_ADD("eval.block.avx512", 1);
+        detail::runBlockLanes8Avx512(prog, nodes, rows, values);
+        return;
     }
+#endif
+    if (cpuHasAvx2()) {
+        ST_OBS_ADD("eval.block.avx2", 1);
+        detail::runBlockLanes8Avx2(prog, nodes, rows, values);
+        return;
+    }
+#endif
+    ST_OBS_ADD("eval.block.scalar", 1);
+    runBlockScalar8(prog, nodes, rows, values);
+#endif // __aarch64__
 }
 
 void
-EvalProgram::runBlock(std::span<const Node> nodes,
-                      std::span<const std::vector<Time>> batch,
-                      std::vector<Time> &values) const
+runProgramBatch(const EvalProgramView &prog, std::span<const Node> nodes,
+                std::span<const std::span<const Time>> volleys,
+                size_t nthreads, std::span<std::vector<Time>> out)
 {
-    runProgramBlock(view(), nodes, batch, values);
+    ST_TRACE_SPAN("eval.batch");
+    ST_OBS_ADD("eval.batch.volleys", volleys.size());
+    const size_t n = volleys.size();
+    const size_t blocks = (n + kEvalBlockLanes - 1) / kEvalBlockLanes;
+    const std::span<const uint32_t> out_slot = prog.outSlot;
+    const size_t lanes =
+        nthreads == 0 ? ThreadPool::defaultThreads() : nthreads;
+    // The block layout is a pure function of the batch, so every
+    // volley's outputs are the same at every thread count.
+    ThreadPool::shared().parallelFor(
+        0, blocks, 1,
+        [&](size_t blk) {
+            // One arena per path, so a thread alternating between the
+            // two never re-grows (and re-zeroes) a shrunk arena.
+            static thread_local std::vector<Time> scalar_values;
+            static thread_local std::vector<Time> block_values;
+            const size_t begin = blk * kEvalBlockLanes;
+            const size_t count = std::min(kEvalBlockLanes, n - begin);
+            // One lane: the scalar walk beats a padded block.
+            const bool scalar = count == 1;
+            std::vector<Time> &values =
+                scalar ? scalar_values : block_values;
+            if (scalar) {
+                runProgram(prog, nodes, volleys[begin], values);
+            } else {
+                // Pad a partial block by repeating its last volley;
+                // the padding lanes' outputs are never gathered.
+                std::array<const Time *, kEvalBlockLanes> rows;
+                for (size_t l = 0; l < kEvalBlockLanes; ++l)
+                    rows[l] = volleys[begin + std::min(l, count - 1)]
+                                  .data();
+                runProgramBlock(prog, nodes, rows, values);
+                ST_OBS_ADD("eval.run.instructions", prog.size() * count);
+            }
+            // Volley begin + l's outputs sit in rows of the slot-major
+            // arena (one lane wide on the scalar path).
+            const size_t stride = scalar ? 1 : kEvalBlockLanes;
+            for (size_t l = 0; l < count; ++l) {
+                std::vector<Time> &o = out[begin + l];
+                o.resize(out_slot.size());
+                for (size_t k = 0; k < out_slot.size(); ++k)
+                    o[k] = values[size_t{out_slot[k]} * stride + l];
+            }
+        },
+        lanes);
 }
 
 EvalPlan

@@ -80,7 +80,7 @@ enum class PlanOp : uint8_t
  * lane-blocked) all run on this form, so a program whose arrays live
  * in an mmap'd STMF model file (model/serialize.hpp) executes in
  * place — startup is a map + fixup, not a parse + recompile — while
- * EvalProgram::run()/runBlock() delegate through view() unchanged.
+ * EvalProgram::run() delegates through view() unchanged.
  *
  * Invariants assumed by the executors (the compiler guarantees them;
  * the STMF loader re-validates them on every untrusted stream):
@@ -115,11 +115,49 @@ void runProgram(const EvalProgramView &prog,
                 std::span<const Time> inputs,
                 std::vector<Time> &values);
 
-/** Lane-blocked execution of @p prog; see EvalProgram::runBlock(). */
+/** Block width of the lane-blocked executor. */
+inline constexpr size_t kEvalBlockLanes = 8;
+
+/**
+ * The input rows of one full block: lane l reads its volley's inputs
+ * from rows[l]. Pointers, not volleys, so a partial block is padded
+ * by repeating a row pointer instead of copying a volley.
+ */
+using EvalBlockLanes = std::span<const Time *const, kEvalBlockLanes>;
+
+/**
+ * Lane-blocked execution: evaluate @p prog for all kEvalBlockLanes
+ * volleys of one block at once. @p values is laid out slot-major —
+ * instruction i's value for lane l lands in values[i * kEvalBlockLanes
+ * + l] — so each instruction becomes a handful of *contiguous* row
+ * operations shared across the block, instead of eight scattered
+ * single-volley walks. Instruction-stream overhead (dispatch, slot
+ * loads) is paid once per block. Dispatches to the widest SIMD body
+ * this machine runs (see evalSimdBodyName()).
+ */
 void runProgramBlock(const EvalProgramView &prog,
-                     std::span<const Node> nodes,
-                     std::span<const std::vector<Time>> batch,
+                     std::span<const Node> nodes, EvalBlockLanes rows,
                      std::vector<Time> &values);
+
+/**
+ * The batch executor every batched caller runs on: evaluate @p prog on
+ * each volley of @p volleys (the caller has checked their widths) and
+ * write volley k's outputs to @p out[k], resized to outSlot.size().
+ * Full blocks of kEvalBlockLanes volleys go through runProgramBlock,
+ * spread over the shared pool with up to @p nthreads lanes (0 =
+ * ThreadPool::defaultThreads(); a single block runs inline on the
+ * caller). A leftover single volley runs scalar — the program walk
+ * beats a padded block for one lane — and a leftover of 2 to 7 is
+ * padded to a full block by repeating its last volley, whose padding
+ * outputs are discarded. Every volley's outputs are bit-identical to
+ * runProgram's, at every thread count. Block runs add
+ * instructions x real lanes to `eval.run.instructions`, as runProgram
+ * adds its instructions per volley.
+ */
+void runProgramBatch(const EvalProgramView &prog,
+                     std::span<const Node> nodes,
+                     std::span<const std::span<const Time>> volleys,
+                     size_t nthreads, std::span<std::vector<Time>> out);
 
 /**
  * One flattened instruction stream. Instruction i writes value slot i;
@@ -159,26 +197,10 @@ struct EvalProgram
      */
     void run(std::span<const Node> nodes, std::span<const Time> inputs,
              std::vector<Time> &values) const;
-
-    /**
-     * Lane-blocked execution: evaluate the program for every volley in
-     * @p batch at once. @p values is laid out slot-major — instruction
-     * i's value for volley l lands in values[i * batch.size() + l] —
-     * so each instruction becomes a handful of *contiguous* row
-     * operations shared across the block, instead of batch.size()
-     * scattered single-volley walks. Instruction-stream overhead
-     * (dispatch, slot loads) is paid once per block.
-     */
-    void runBlock(std::span<const Node> nodes,
-                  std::span<const std::vector<Time>> batch,
-                  std::vector<Time> &values) const;
 };
 
-/** Block width evaluateBatch feeds to EvalProgram::runBlock. */
-inline constexpr size_t kEvalBlockLanes = 8;
-
 /**
- * The SIMD body runBlock dispatches full blocks to on this machine:
+ * The SIMD body runProgramBlock dispatches to on this machine:
  * "avx512", "avx2", "neon" or "scalar". Health snapshots report it so
  * an operator can tell which executor a deployment actually runs.
  */
@@ -215,31 +237,28 @@ EvalPlan buildEvalPlan(const Network &net);
 namespace detail {
 
 /**
- * SIMD bodies of EvalProgram::runBlock for full blocks of
- * kEvalBlockLanes volleys, each bit-identical to the portable body on
- * every input. The x86-64 bodies live in their own translation units
- * compiled with the matching -m flag (eval_plan_simd.cpp for AVX2,
- * eval_plan_simd512.cpp for AVX-512F) and are entered only after a
- * one-time runtime CPUID probe picks the widest available ISA, so the
- * same binary runs everywhere from SSE2 up. The NEON body
- * (eval_plan_simd_neon.cpp) is baseline on aarch64 and dispatched at
- * compile time.
+ * SIMD bodies of runProgramBlock, each bit-identical to the portable
+ * body on every input. The x86-64 bodies live in their own
+ * translation units compiled with the matching -m flag
+ * (eval_plan_simd.cpp for AVX2, eval_plan_simd512.cpp for AVX-512F)
+ * and are entered only after a one-time runtime CPUID probe picks the
+ * widest available ISA, so the same binary runs everywhere from SSE2
+ * up. The NEON body (eval_plan_simd_neon.cpp) is baseline on aarch64
+ * and dispatched at compile time.
  */
 void runBlockLanes8Avx2(const EvalProgramView &prog,
-                        std::span<const Node> nodes,
-                        std::span<const std::vector<Time>> batch,
+                        std::span<const Node> nodes, EvalBlockLanes rows,
                         std::vector<Time> &values);
 
 /** AVX-512F variant: one 8x64 vector per value row. */
 void runBlockLanes8Avx512(const EvalProgramView &prog,
                           std::span<const Node> nodes,
-                          std::span<const std::vector<Time>> batch,
+                          EvalBlockLanes rows,
                           std::vector<Time> &values);
 
 /** aarch64 NEON variant: four 2x64 vectors per value row. */
 void runBlockLanes8Neon(const EvalProgramView &prog,
-                        std::span<const Node> nodes,
-                        std::span<const std::vector<Time>> batch,
+                        std::span<const Node> nodes, EvalBlockLanes rows,
                         std::vector<Time> &values);
 
 } // namespace detail

@@ -1,6 +1,6 @@
 /**
  * @file
- * AVX-512 body of EvalProgram::runBlock (x86-64 only; this translation
+ * AVX-512 body of runProgramBlock (x86-64 only; this translation
  * unit is compiled with -mavx512f and entered only after the caller's
  * runtime CPUID probe succeeds, so the rest of the library stays at
  * the baseline ISA).
@@ -74,8 +74,7 @@ vsat(__m512i x, Time::rep d)
 
 void
 runBlockLanes8Avx512(const EvalProgramView &prog, std::span<const Node> nodes,
-                     std::span<const std::vector<Time>> batch,
-                     std::vector<Time> &values)
+                     EvalBlockLanes rows, std::vector<Time> &values)
 {
     constexpr size_t lanes = kEvalBlockLanes;
     values.resize(prog.op.size() * lanes);
@@ -94,7 +93,7 @@ runBlockLanes8Avx512(const EvalProgramView &prog, std::span<const Node> nodes,
                 Time *o = v + i * lanes;
                 const uint32_t src = prog.extra[i];
                 for (size_t l = 0; l < lanes; ++l)
-                    o[l] = batch[l][src];
+                    o[l] = rows[l][src];
             }
             break;
           case PlanOp::Config:

@@ -1,10 +1,11 @@
 /**
  * @file
- * NEON body of EvalProgram::runBlock (aarch64 only). NEON is baseline
- * on aarch64, so unlike the x86 bodies there is no runtime probe and
- * no special compile flag — runBlock dispatches here unconditionally
- * at compile time (the CI arm64 job runs the compiled-evaluator
- * differential tests against this body on every PR).
+ * NEON body of runProgramBlock (aarch64 only). NEON is baseline on
+ * aarch64, so unlike the x86 bodies there is no runtime probe and no
+ * special compile flag — runProgramBlock dispatches here
+ * unconditionally at compile time (the CI arm64 job runs the
+ * compiled-evaluator differential tests against this body on every
+ * PR).
  *
  * A full block is kEvalBlockLanes == 8 volleys, so every value row is
  * four 128-bit vectors of two uint64 times each. aarch64 NEON has
@@ -121,8 +122,7 @@ satRow(Row r, Time::rep d)
 
 void
 runBlockLanes8Neon(const EvalProgramView &prog, std::span<const Node> nodes,
-                   std::span<const std::vector<Time>> batch,
-                   std::vector<Time> &values)
+                   EvalBlockLanes rows, std::vector<Time> &values)
 {
     constexpr size_t lanes = kEvalBlockLanes;
     values.resize(prog.op.size() * lanes);
@@ -141,7 +141,7 @@ runBlockLanes8Neon(const EvalProgramView &prog, std::span<const Node> nodes,
                 Time *o = v + i * lanes;
                 const uint32_t src = prog.extra[i];
                 for (size_t l = 0; l < lanes; ++l)
-                    o[l] = batch[l][src];
+                    o[l] = rows[l][src];
             }
             break;
           case PlanOp::Config:

@@ -8,7 +8,6 @@
 #include "core/properties.hpp"
 #include "fault/fault.hpp"
 #include "obs/obs.hpp"
-#include "util/thread_pool.hpp"
 
 namespace st {
 
@@ -384,59 +383,27 @@ std::vector<std::vector<Time>>
 Network::evaluateBatch(std::span<const std::vector<Time>> batch,
                        size_t nthreads) const
 {
-    // One compile up front (not one race per lane), then lane-blocked
-    // execution: each unit of work is a block of kEvalBlockLanes
-    // volleys pushed through the program together. The block layout is
-    // a pure function of the batch, so results are bit-identical at
-    // every thread count.
-    ST_TRACE_SPAN("eval.batch");
-    ST_OBS_ADD("eval.batch.volleys", batch.size());
+    // One compile up front (not one race per lane), then the shared
+    // lane-blocked batch executor.
     const EvalPlan &plan = compile();
-    const EvalProgram &prog = plan.live;
-    const bool guard_causality =
-        fault::guardActive(fault::kGuardCausality) &&
-        !hasFiniteConfig(nodes_, plan.configNodes);
+    std::vector<std::span<const Time>> volleys(batch.begin(), batch.end());
+    for (std::span<const Time> v : volleys) {
+        if (v.size() != numInputs_)
+            throw std::invalid_argument("Network: evaluate arity mismatch");
+    }
     std::vector<std::vector<Time>> out(batch.size());
-    const size_t blocks =
-        (batch.size() + kEvalBlockLanes - 1) / kEvalBlockLanes;
-    size_t lanes = nthreads == 0 ? ThreadPool::defaultThreads()
-                                 : nthreads;
-    ThreadPool::shared().parallelFor(
-        0, blocks, 1,
-        [&](size_t blk) {
-            const size_t begin = blk * kEvalBlockLanes;
-            const size_t count =
-                std::min(kEvalBlockLanes, batch.size() - begin);
-            for (size_t l = 0; l < count; ++l) {
-                if (batch[begin + l].size() != numInputs_)
-                    throw std::invalid_argument(
-                        "Network: evaluate arity mismatch");
-            }
-            EvalScratch &scratch = threadScratch();
-            prog.runBlock(nodes_, batch.subspan(begin, count),
-                          scratch.values);
-            for (size_t l = 0; l < count; ++l) {
-                std::vector<Time> &o = out[begin + l];
-                o.resize(prog.outSlot.size());
-                for (size_t k = 0; k < prog.outSlot.size(); ++k) {
-                    o[k] = scratch.values[size_t{prog.outSlot[k]} *
-                                              count +
-                                          l];
-                }
-                if (guard_causality) {
-                    PropertyReport r =
-                        checkCausalityObserved(batch[begin + l], o);
-                    if (!r.holds) {
-                        fault::reportViolation(
-                            "causality",
-                            "core.evaluateBatch.volley" +
-                                std::to_string(begin + l),
-                            r.counterexample);
-                    }
-                }
-            }
-        },
-        lanes);
+    runProgramBatch(plan.live.view(), nodes_, volleys, nthreads, out);
+    if (fault::guardActive(fault::kGuardCausality) &&
+        !hasFiniteConfig(nodes_, plan.configNodes)) {
+        for (size_t i = 0; i < batch.size(); ++i) {
+            PropertyReport r = checkCausalityObserved(batch[i], out[i]);
+            if (!r.holds)
+                fault::reportViolation("causality",
+                                       "core.evaluateBatch.volley" +
+                                           std::to_string(i),
+                                       r.counterexample);
+        }
+    }
     return out;
 }
 

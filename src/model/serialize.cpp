@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <stdexcept>
 #include <unordered_map>
 
 #include "grl/compile.hpp"
@@ -484,6 +485,24 @@ PlanModel::evaluate(std::span<const Time> inputs, EvalScratch &scratch,
     out.resize(program_.outSlot.size());
     for (size_t k = 0; k < program_.outSlot.size(); ++k)
         out[k] = scratch.values[program_.outSlot[k]];
+}
+
+std::vector<std::vector<Time>>
+PlanModel::evaluateBatch(std::span<const std::vector<Time>> batch,
+                         size_t nthreads) const
+{
+    std::vector<std::span<const Time>> volleys(batch.begin(), batch.end());
+    for (std::span<const Time> v : volleys) {
+        // A width mismatch would read out of the volley's bounds in
+        // the Input instructions.
+        if (v.size() != numInputs_)
+            throw std::invalid_argument(
+                "plan model: volley width " + std::to_string(v.size()) +
+                " != " + std::to_string(numInputs_));
+    }
+    std::vector<std::vector<Time>> out(batch.size());
+    runProgramBatch(program_, nodes_, volleys, nthreads, out);
+    return out;
 }
 
 // --- grl ------------------------------------------------------------

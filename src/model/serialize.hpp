@@ -86,6 +86,18 @@ class PlanModel
     void evaluate(std::span<const Time> inputs, EvalScratch &scratch,
                   std::vector<Time> &out) const;
 
+    /**
+     * Evaluate a batch of independent volleys on the shared batch
+     * executor (runProgramBatch: lane-blocked SIMD blocks over up to
+     * @p nthreads pool lanes, 0 = the default). out[i] ==
+     * evaluate(batch[i]) bit-for-bit at every thread count. Throws
+     * std::invalid_argument, before evaluating anything, if a volley's
+     * width is not numInputs().
+     */
+    std::vector<std::vector<Time>>
+    evaluateBatch(std::span<const std::vector<Time>> batch,
+                  size_t nthreads = 0) const;
+
   private:
     friend Status decodePlan(const StmfFile &file, PlanModel &out);
 

@@ -152,20 +152,19 @@ std::vector<std::string>
 PlanServeModel::processBatch(std::span<const BatchItem> items,
                              size_t nthreads)
 {
-    (void)nthreads; // plan evaluation is cheap; serial on the batcher
+    // evaluateBatch checks every width before it evaluates anything,
+    // so a bad volley throws here and the server's item-by-item retry
+    // poisons just that one.
+    std::vector<std::vector<Time>> volleys;
+    volleys.reserve(items.size());
+    for (const BatchItem &item : items)
+        volleys.push_back(item.volley);
+    const std::vector<std::vector<Time>> outs =
+        plan_->evaluateBatch(volleys, nthreads);
     std::vector<std::string> payloads;
-    payloads.reserve(items.size());
-    for (const BatchItem &item : items) {
-        // A width mismatch would read out of the volley's bounds in
-        // the Input instructions; throwing poisons just this volley.
-        if (item.volley.size() != plan_->numInputs())
-            throw std::invalid_argument(
-                "plan model: volley width " +
-                std::to_string(item.volley.size()) + " != " +
-                std::to_string(plan_->numInputs()));
-        plan_->evaluate(item.volley, scratch_, out_);
-        payloads.push_back(wireVolley(out_));
-    }
+    payloads.reserve(outs.size());
+    for (const std::vector<Time> &out : outs)
+        payloads.push_back(wireVolley(out));
     return payloads;
 }
 

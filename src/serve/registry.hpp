@@ -84,10 +84,10 @@ class ModelRegistry
 };
 
 /**
- * A stateless ServeModel over a loaded compiled-plan model. Volleys
- * evaluate on the instruction stream viewed in the STMF backing (the
- * plan holds its keepalive). processBatch runs on the batcher thread,
- * so one member scratch suffices.
+ * A stateless ServeModel over a loaded compiled-plan model. A batch
+ * evaluates on the instruction stream viewed in the STMF backing (the
+ * plan holds its keepalive) through PlanModel::evaluateBatch: SIMD
+ * blocks of eight volleys spread over the shared pool's lanes.
  */
 class PlanServeModel : public ServeModel
 {
@@ -104,8 +104,6 @@ class PlanServeModel : public ServeModel
 
   private:
     std::shared_ptr<const model::PlanModel> plan_;
-    EvalScratch scratch_;
-    std::vector<Time> out_;
 };
 
 /**

@@ -10,6 +10,10 @@
  * caller decides the degradation — pause the reader (flow control),
  * shed the item (accounted drop), or close the session.
  *
+ * A producer that must never wait (the shared batcher) takes credit
+ * first: reserve() sets free slots aside, plain pushes treat them as
+ * taken, and pushReserved() fills one later without a capacity check.
+ *
  * close() makes the ring drain-only: pushes fail immediately, pops
  * keep returning queued items until empty, and every waiter wakes.
  * A high-watermark is kept so health snapshots can report how close a
@@ -19,6 +23,7 @@
 #ifndef ST_SERVE_RING_HPP
 #define ST_SERVE_RING_HPP
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -39,13 +44,16 @@ template <typename T> class BoundedRing
     BoundedRing(const BoundedRing &) = delete;
     BoundedRing &operator=(const BoundedRing &) = delete;
 
-    /** Non-blocking push: false when full or closed (backpressure). */
+    /**
+     * Non-blocking push: false when closed or when every slot is
+     * queued or reserved (backpressure).
+     */
     bool
     tryPush(T item)
     {
         {
             std::lock_guard<std::mutex> lock(mutex_);
-            if (closed_ || items_.size() >= capacity_)
+            if (closed_ || !hasFreeSlot())
                 return false;
             items_.push_back(std::move(item));
             raiseHighWater(items_.size());
@@ -64,15 +72,63 @@ template <typename T> class BoundedRing
     pushWait(T item, std::chrono::milliseconds timeout)
     {
         std::unique_lock<std::mutex> lock(mutex_);
-        if (!notFull_.wait_for(lock, timeout, [&] {
-                return closed_ || items_.size() < capacity_;
-            }))
+        if (!notFull_.wait_for(lock, timeout,
+                               [&] { return closed_ || hasFreeSlot(); }))
             return false;
         if (closed_)
             return false;
         items_.push_back(std::move(item));
         raiseHighWater(items_.size());
         lock.unlock();
+        notEmpty_.notify_one();
+        return true;
+    }
+
+    /**
+     * Set up to @p n free slots aside for pushReserved(); returns how
+     * many were granted (0 when full or closed).
+     */
+    size_t
+    reserve(size_t n)
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (closed_)
+            return 0;
+        const size_t granted =
+            std::min(n, capacity_ - items_.size() - reserved_);
+        reserved_ += granted;
+        return granted;
+    }
+
+    /** Return @p n reserved slots unused. */
+    void
+    unreserve(size_t n)
+    {
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            reserved_ -= std::min(n, reserved_);
+        }
+        notFull_.notify_all();
+    }
+
+    /**
+     * Push into a reserved slot. With no reservation outstanding this
+     * is tryPush(). False only when closed or, unreserved, full.
+     */
+    bool
+    pushReserved(T item)
+    {
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            if (closed_)
+                return false;
+            if (reserved_ > 0)
+                --reserved_;
+            else if (!hasFreeSlot())
+                return false;
+            items_.push_back(std::move(item));
+            raiseHighWater(items_.size());
+        }
         notEmpty_.notify_one();
         return true;
     }
@@ -143,6 +199,13 @@ template <typename T> class BoundedRing
     }
 
   private:
+    /** Called with mutex_ held: a slot neither queued nor reserved. */
+    bool
+    hasFreeSlot() const
+    {
+        return items_.size() + reserved_ < capacity_;
+    }
+
     /** Called with mutex_ held; pushes are serialized, so a plain
      *  store (no CAS max loop) cannot go backwards. */
     void
@@ -168,6 +231,7 @@ template <typename T> class BoundedRing
     std::condition_variable notFull_;
     std::deque<T> items_;
     std::atomic<size_t> highWater_{0};
+    size_t reserved_ = 0; //!< slots set aside for pushReserved()
     bool closed_ = false;
 };
 

@@ -488,7 +488,10 @@ StreamServer::batcherLoop()
 
         // Round-robin gather in session-id order: one volley per
         // session per pass keeps a firehose session from starving
-        // the rest, while per-session FIFO keeps sample order.
+        // the rest, while per-session FIFO keeps sample order. A
+        // session yields a volley only with egress credit for its
+        // reply (popPending), so no session gets more than its egress
+        // ring can take and a slow reader is never force-closed.
         std::vector<std::shared_ptr<Session>> snapshot;
         {
             std::lock_guard<std::mutex> lock(sessionsMutex_);

@@ -49,11 +49,12 @@ Session::Session(uint64_t id, const ServeConfig &config,
     : id_(id), config_(config), modelInputs_(model_inputs),
       onWork_(std::move(on_work)),
       ingress_(static_cast<size_t>(config.ingressCapacity)),
-      egress_(static_cast<size_t>(config.egressCapacity)),
+      egress_(static_cast<size_t>(config.egressCapacity) + 1),
       window_(config.window),
       deadlineMs_(std::min(config.deadlineMs, config.deadlineMaxMs)),
       current_(model_inputs, INF)
 {
+    egress_.reserve(1); // the end line's slot
 }
 
 SessionState
@@ -127,6 +128,19 @@ Session::emit(std::string line, uint64_t now_ms, bool may_block)
                          std::chrono::milliseconds(deadlineMs())))
         return;
     forceClose("egress stalled past deadline", now_ms);
+}
+
+void
+Session::emitReserved(std::string line, uint64_t now_ms)
+{
+    const bool pushed = egress_.pushReserved(std::move(line));
+    ST_OBS_GAUGE_MAX("serve.queue.egress_highwater",
+                     egress_.highWater());
+    if (pushed || egress_.closed())
+        return;
+    // Only a line pushed without credit can find the ring full.
+    ST_OBS_ADD("serve.egress.stall", 1);
+    forceClose("egress stalled", now_ms);
 }
 
 void
@@ -520,8 +534,14 @@ std::optional<std::string>
 Session::nextOutput(std::chrono::milliseconds timeout)
 {
     std::optional<std::string> line = egress_.popWait(timeout);
-    if (line)
+    if (line) {
+        // A slot just freed: wake a batcher that lacked credit now
+        // rather than at its next poll.
+        if (creditWanted_.load() && creditWanted_.exchange(false) &&
+            onWork_)
+            onWork_();
         return line;
+    }
     // Ring closed and fully drained: release the reserved terminal
     // line (set by forceClose) exactly once, after every queued
     // delivery. A plain timeout keeps returning nullopt.
@@ -538,7 +558,21 @@ Session::nextOutput(std::chrono::milliseconds timeout)
 std::optional<Session::Pending>
 Session::popPending()
 {
-    return ingress_.tryPop();
+    if (ingress_.size() == 0)
+        return std::nullopt;
+    if (egress_.reserve(1) == 0) {
+        // Flag first, then look again: a writer pop that freed a slot
+        // before the flag was up is seen by the second reserve, one
+        // after it sees the flag and wakes the batcher.
+        if (!creditWanted_.exchange(true))
+            ST_OBS_ADD("serve.egress.credit_waits", 1);
+        if (egress_.reserve(1) == 0)
+            return std::nullopt;
+    }
+    std::optional<Pending> p = ingress_.tryPop();
+    if (!p)
+        egress_.unreserve(1);
+    return p;
 }
 
 void
@@ -551,8 +585,8 @@ Session::deliver(uint64_t seq, const std::string &payload,
         lastActivityMs_ = now_ms;
     }
     ST_OBS_ADD("serve.volleys.out", 1);
-    emit("volley " + std::to_string(seq) + " " + payload, now_ms,
-         /*may_block=*/false);
+    emitReserved("volley " + std::to_string(seq) + " " + payload,
+                 now_ms);
 }
 
 void
@@ -572,8 +606,7 @@ Session::dropVolley(uint64_t seq, const char *why, uint64_t now_ms)
         ST_OBS_ADD("serve.volleys.dropped_poisoned", 1);
     obs::FlightRecorder::instance().record("volley.drop", id_, seq,
                                            why);
-    emit("drop " + std::to_string(seq) + " " + why, now_ms,
-         /*may_block=*/false);
+    emitReserved("drop " + std::to_string(seq) + " " + why, now_ms);
 }
 
 void
@@ -604,10 +637,11 @@ Session::finishIfDrained(uint64_t now_ms)
         endEmitted_ = true;
     }
     SessionStats s = stats();
-    emit("end volleys " + std::to_string(s.volleysOut) + " drops " +
-             std::to_string(s.dropsDeadline + s.dropsShed +
-                            s.dropsPoisoned),
-         now_ms, /*may_block=*/false);
+    emitReserved("end volleys " + std::to_string(s.volleysOut) +
+                     " drops " +
+                     std::to_string(s.dropsDeadline + s.dropsShed +
+                                    s.dropsPoisoned),
+                 now_ms);
     {
         std::lock_guard<std::mutex> lock(mutex_);
         state_ = SessionState::Closed;

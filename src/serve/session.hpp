@@ -14,10 +14,12 @@
  * line — with its line number — is echoed, further input is ignored
  * until `end`). Overload degrades per the contract: ingress-full first
  * signals backpressure and blocks the reader (flow control), then
- * sheds the newest volley with an accounted `drop <seq> shed`; an
- * egress stall closes this session only — after one (server-clamped)
- * deadline of grace on the reader thread, immediately on the shared
- * batcher/reaper threads, which never wait on one session's consumer.
+ * sheds the newest volley with an accounted `drop <seq> shed`. The
+ * batcher takes a volley only with egress credit for its reply, so a
+ * slow consumer holds its volleys in the ingress ring (and so pushes
+ * back on the client) instead of overflowing the egress ring. An
+ * egress stall on the reader thread closes this session only, after
+ * one (server-clamped) deadline of grace.
  *
  * Wire grammar (client -> server), one line each:
  *
@@ -40,6 +42,7 @@
 #ifndef ST_SERVE_SESSION_HPP
 #define ST_SERVE_SESSION_HPP
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -132,7 +135,16 @@ class Session
     nextOutput(std::chrono::milliseconds timeout);
 
     // --- batcher side ---------------------------------------------
-    /** Pop the oldest pending volley (FIFO), if any. */
+    /**
+     * Pop the oldest pending volley (FIFO) together with egress credit
+     * for its reply: one slot of the egress ring is set aside for the
+     * deliver() or dropVolley() line that answers it, so the batcher,
+     * which never waits on a session's consumer, never finds the ring
+     * full. nullopt when nothing is pending or every egress slot is
+     * taken; in the latter case the writer wakes the batcher (through
+     * the on_work callback) as soon as it frees a slot, and the volley
+     * waits in the ingress ring, whose backpressure reaches the client.
+     */
     std::optional<Pending> popPending();
 
     /** Queued-but-unprocessed volley count. */
@@ -193,6 +205,8 @@ class Session
                       uint64_t now_ms);
     void submitVolley(Volley volley, uint64_t now_ms, bool may_block);
     void emit(std::string line, uint64_t now_ms, bool may_block);
+    /** Emit a batcher line into its reserved egress slot. */
+    void emitReserved(std::string line, uint64_t now_ms);
     void touch(uint64_t now_ms);
 
     const uint64_t id_;
@@ -201,7 +215,15 @@ class Session
     std::function<void()> onWork_;
 
     BoundedRing<Pending> ingress_;
+    /**
+     * Holds egressCapacity lines plus one slot reserved from the start
+     * for the `end volleys` line, which the batcher emits without
+     * waiting; popPending() reserves the slot of each reply.
+     */
     BoundedRing<std::string> egress_;
+    /** popPending() found no egress credit: the writer's next pop
+     *  wakes the batcher. */
+    std::atomic<bool> creditWanted_{false};
     LatencyRecorder latency_;
 
     /**

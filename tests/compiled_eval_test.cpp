@@ -154,20 +154,31 @@ TEST(CompiledEval, StructuralMutationInvalidatesThePlan)
 
 TEST(CompiledEval, BatchMatchesSerialAcrossThreadCounts)
 {
+    // Batch sizes 0..70 cover every leftover — one volley runs scalar,
+    // two to seven pad a block — beside up to eight full blocks; half
+    // the volleys are inf-heavy.
     Rng rng(0xbead);
     Network net = richRandomNetwork(rng, 4, 30);
 
-    std::vector<std::vector<Time>> batch;
-    for (size_t i = 0; i < 64; ++i)
-        batch.push_back(randomVolley(rng, 4, 15, i % 3 == 0 ? 0.6 : 0.2));
-
+    std::vector<std::vector<Time>> volleys;
     std::vector<std::vector<Time>> expected;
-    for (const auto &volley : batch)
-        expected.push_back(net.evaluateInterpreted(volley));
+    for (size_t i = 0; i < 70; ++i) {
+        volleys.push_back(randomVolley(rng, 4, 15, i % 2 ? 0.8 : 0.2));
+        expected.push_back(net.evaluate(volleys.back()));
+        ASSERT_EQ(expected.back(), net.evaluateInterpreted(volleys.back()));
+    }
 
-    for (size_t nthreads : {1, 2, 4, 8})
-        EXPECT_EQ(net.evaluateBatch(batch, nthreads), expected)
-            << "nthreads=" << nthreads;
+    for (size_t n = 0; n <= volleys.size(); ++n) {
+        const std::span<const std::vector<Time>> batch(volleys.data(), n);
+        const std::vector<std::vector<Time>> want(expected.begin(),
+                                                  expected.begin() + n);
+        for (size_t nthreads : {1, 2, 4, 8})
+            ASSERT_EQ(net.evaluateBatch(batch, nthreads), want)
+                << "size=" << n << " nthreads=" << nthreads;
+    }
+
+    volleys[3].pop_back();
+    EXPECT_THROW(net.evaluateBatch(volleys, 2), std::invalid_argument);
 }
 
 TEST(CompiledEval, DeadNodesAreEliminated)

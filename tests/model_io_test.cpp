@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -156,6 +157,12 @@ TEST(ModelIoPlan, MatchesCompiledNetworkOnBothPaths)
     ASSERT_TRUE(
         packNetwork(net, path, options, /*with_grl=*/true).isOk());
 
+    // Batches of 0..70 cover every padded and scalar leftover beside
+    // full blocks; probes() mixes in inf lines, and the all-inf
+    // volleys exercise the saturating paths.
+    std::vector<Volley> volleys = probes(6, 62);
+    for (size_t j = 0; j < 8; ++j)
+        volleys.insert(volleys.begin() + 9 * j, Volley(6, INF));
     for (const LoadMode mode : {LoadMode::Mmap, LoadMode::Copy}) {
         LoadedModel loaded;
         const Status status = loadModel(path, mode, loaded);
@@ -164,13 +171,29 @@ TEST(ModelIoPlan, MatchesCompiledNetworkOnBothPaths)
         EXPECT_EQ(loaded.info.kind, "plan");
         EXPECT_EQ(loaded.plan->numInputs(), net.numInputs());
         EXPECT_EQ(loaded.plan->numOutputs(), net.outputs().size());
+        const PlanModel &plan = *loaded.plan;
 
         EvalScratch scratch;
-        std::vector<Time> out;
-        for (const Volley &v : probes(6, 8)) {
-            loaded.plan->evaluate(v, scratch, out);
+        std::vector<std::vector<Time>> expected;
+        for (const Volley &v : volleys) {
+            std::vector<Time> out;
+            plan.evaluate(v, scratch, out);
             expectSameTimes(net.evaluate(v), out, "plan volley");
+            expected.push_back(std::move(out));
         }
+        for (size_t n = 0; n <= volleys.size(); ++n) {
+            const std::span<const Volley> batch(volleys.data(), n);
+            const std::vector<std::vector<Time>> want(
+                expected.begin(), expected.begin() + n);
+            for (size_t nthreads : {1, 2, 4, 8})
+                ASSERT_EQ(plan.evaluateBatch(batch, nthreads), want)
+                    << "size=" << n << " nthreads=" << nthreads;
+        }
+
+        std::vector<Volley> narrow = volleys;
+        narrow[10].pop_back();
+        EXPECT_THROW(plan.evaluateBatch(narrow, 4),
+                     std::invalid_argument);
     }
 }
 

@@ -20,6 +20,8 @@
 #include <thread>
 #include <vector>
 
+#include "core/eval_plan.hpp"
+#include "core/network.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
@@ -279,6 +281,31 @@ TEST(ObsMacros, RecordIntoGlobalRegistry)
     EXPECT_GE(counter, 2u);
     EXPECT_GE(gauge, 11u);
     EXPECT_GE(hist_count, 1u);
+}
+
+TEST(ObsMacros, BatchExecutorCountsRealLanesOnly)
+{
+    // A padded block adds instructions x real lanes to the counter the
+    // per-volley ledger divides by, never the padding lanes.
+    Network net(3);
+    const NodeId first = net.min(net.input(0), net.input(1));
+    net.markOutput(net.lt(first, net.inc(net.input(2), 2)));
+    net.markOutput(net.max(first, net.input(2)));
+    const uint64_t instrs = net.compile().live.size();
+    const auto instructions = [] {
+        for (const auto &c : MetricsRegistry::instance().snapshot().counters)
+            if (c.name == "eval.run.instructions")
+                return c.value;
+        return uint64_t{0};
+    };
+    for (size_t volleys : {5, 1, 9}) {
+        const std::vector<std::vector<Time>> batch(
+            volleys, {Time(1), Time(4), Time(2)});
+        const uint64_t before = instructions();
+        net.evaluateBatch(batch, 2);
+        EXPECT_EQ(instructions() - before, instrs * volleys)
+            << volleys << " volleys";
+    }
 }
 #endif
 

@@ -4,15 +4,22 @@
  * control, the session protocol state machine (including quarantine
  * with line-numbered errors), window framing equivalence with the
  * offline AerStream::sliceWindows, the end-to-end StreamServer path
- * (multi-session ordering, deadline drops, poisoned-batch isolation,
- * graceful drain), and the health JSON shape.
+ * (multi-session ordering, deadline drops, poisoned-batch isolation
+ * on a TNN and on a compiled-plan model, graceful drain), egress
+ * credit against a slow TCP reader, and the health JSON shape.
  *
- * Everything here is in-process and socket-free; the TCP/pipe
- * transports are exercised by the CI serve-smoke job and the chaos
- * soak (serve_chaos_test.cpp).
+ * Everything here is in-process; one test drives the TCP transport
+ * over loopback. The pipe transport and the daemon are exercised by
+ * the CI serve-smoke job and the chaos soak (serve_chaos_test.cpp).
  */
 
 #include <gtest/gtest.h>
+
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -25,14 +32,17 @@
 #include <vector>
 
 #include "core/eval_plan.hpp"
+#include "model/serialize.hpp"
 #include "obs/metrics.hpp"
 #include "serve/admission.hpp"
 #include "serve/config.hpp"
 #include "serve/latency.hpp"
 #include "serve/model.hpp"
+#include "serve/registry.hpp"
 #include "serve/ring.hpp"
 #include "serve/server.hpp"
 #include "serve/session.hpp"
+#include "serve/transport.hpp"
 #include "tnn/aer.hpp"
 #include "tnn/tnn_network.hpp"
 
@@ -613,6 +623,111 @@ TEST(StreamServer, PoisonedVolleyIsIsolatedNotFatal)
 }
 
 /**
+ * A compiled-plan model behind an adapter that cuts the width of every
+ * volley whose address 0 reads 7: the plan model must refuse that
+ * volley without losing the rest of its batch.
+ */
+class NarrowingPlanModel : public ServeModel
+{
+  public:
+    explicit NarrowingPlanModel(
+        std::shared_ptr<const model::PlanModel> plan)
+        : inner_(std::move(plan))
+    {
+    }
+
+    size_t numInputs() const override { return inner_.numInputs(); }
+    std::string name() const override { return "narrowing-plan"; }
+    bool transactional() const override { return true; }
+
+    std::vector<std::string>
+    processBatch(std::span<const BatchItem> items,
+                 size_t nthreads) override
+    {
+        std::vector<BatchItem> cut(items.begin(), items.end());
+        for (BatchItem &item : cut)
+            if (item.volley[0] == Time(7))
+                item.volley.pop_back();
+        return inner_.processBatch(cut, nthreads);
+    }
+
+  private:
+    PlanServeModel inner_;
+};
+
+TEST(StreamServer, WrongWidthPlanVolleyPoisonsOnlyItself)
+{
+    // A 4-input plan with a config gate, inc taps and every gate kind.
+    Network net(4);
+    std::vector<NodeId> ins;
+    for (size_t i = 0; i < 4; ++i)
+        ins.push_back(net.input(i));
+    const NodeId first = net.min(ins);
+    const NodeId last = net.max(ins);
+    net.markOutput(net.max(net.lt(first, last), net.config(Time(2))));
+    net.markOutput(net.min(net.inc(first, 3), last));
+    const std::string path = ::testing::TempDir() + "serve_plan.stmf";
+    ASSERT_TRUE(
+        model::packNetwork(net, path, model::PackOptions{}).isOk());
+    model::LoadedModel loaded;
+    ASSERT_TRUE(
+        model::loadModel(path, model::LoadMode::Mmap, loaded).isOk());
+    ASSERT_TRUE(loaded.plan != nullptr);
+
+    ServeConfig config;
+    config.window = 8;
+    config.deadlineMs = 10000;
+    config.batchMax = 16;
+    StreamServer server(
+        std::make_unique<NarrowingPlanModel>(loaded.plan), config);
+    auto open = server.openSession("plan");
+    ASSERT_TRUE(open.session != nullptr);
+    Session &s = *open.session;
+    s.feedLine("stserve 1", steadyNowMs());
+    s.feedLine("addresses 4", steadyNowMs());
+    // Twelve windows, queued before the batcher starts so they share
+    // one batch (a full block plus a padded leftover); window 5
+    // carries the width fault (time 7 on address 0).
+    constexpr size_t kVolleys = 12;
+    constexpr uint64_t kBad = 5;
+    std::vector<Volley> sent;
+    for (uint64_t w = 0; w < kVolleys; ++w) {
+        const uint64_t rel = w == kBad ? 7 : w % 7;
+        const uint64_t addr = w == kBad ? 0 : w % 4;
+        s.feedLine(std::to_string(w * 8 + rel) + " " +
+                       std::to_string(addr),
+                   steadyNowMs());
+        s.feedLine("flush", steadyNowMs());
+        Volley v(4, INF);
+        v[addr] = Time(rel);
+        sent.push_back(v);
+    }
+    s.feedLine("end", steadyNowMs());
+    server.start();
+
+    const std::vector<std::string> lines = drainAll(s);
+    EXPECT_EQ(countPrefix(lines, "volley "), kVolleys - 1);
+    EXPECT_EQ(countPrefix(lines, "drop "), 1u);
+    EXPECT_EQ(countPrefix(lines, "drop 5 poisoned"), 1u);
+    EXPECT_EQ(countPrefix(lines, "end volleys 11 drops 1"), 1u);
+    for (const std::string &l : lines) {
+        if (l.rfind("volley ", 0) != 0)
+            continue;
+        const size_t payloadAt = l.find(' ', 7);
+        const uint64_t seq = std::stoull(l.substr(7, payloadAt - 7));
+        ASSERT_LT(seq, kVolleys);
+        EXPECT_EQ(l.substr(payloadAt + 1),
+                  wireVolley(net.evaluate(sent[seq])))
+            << "seq " << seq;
+    }
+    const SessionStats st = s.stats();
+    EXPECT_EQ(st.volleysOut + st.dropsPoisoned, kVolleys);
+    EXPECT_EQ(st.dropsPoisoned, 1u);
+    server.requestStop();
+    EXPECT_TRUE(server.waitDrained());
+}
+
+/**
  * Stateful model that commits per-seq state as it iterates (like the
  * LSM reservoir) and throws on a marked volley. transactional() stays
  * false (the default), so the server must feed one item per call —
@@ -968,6 +1083,159 @@ TEST(StreamServer, HealthTopKBoundsPerSessionDetail)
     idle.session->endInput(steadyNowMs());
     server.requestStop();
     server.waitDrained();
+}
+
+/**
+ * Blocking loopback client socket whose connection the kernel buffers
+ * little of: a small receive buffer, and a small segment size, which
+ * keeps the sender's auto-tuned send buffer small too (it grows with
+ * the segment size, 64 KB on loopback by default). Both are set
+ * before connect so they apply to the handshake.
+ */
+int
+connectLoopback(uint16_t port)
+{
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0)
+        return -1;
+    const int rcvbuf = 4096;
+    const int mss = 1024;
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof rcvbuf);
+    ::setsockopt(fd, IPPROTO_TCP, TCP_MAXSEG, &mss, sizeof mss);
+    sockaddr_in addr = {};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                  sizeof addr) != 0) {
+        ::close(fd);
+        return -1;
+    }
+    return fd;
+}
+
+/** Line reader over a socket; false on EOF or a 10 s silence. */
+class SocketLines
+{
+  public:
+    explicit SocketLines(int fd) : fd_(fd) {}
+
+    bool
+    next(std::string &line)
+    {
+        while (true) {
+            const size_t nl = buf_.find('\n');
+            if (nl != std::string::npos) {
+                line = buf_.substr(0, nl);
+                buf_.erase(0, nl + 1);
+                return true;
+            }
+            pollfd p = {fd_, POLLIN, 0};
+            if (::poll(&p, 1, 10000) <= 0)
+                return false;
+            char chunk[4096];
+            const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
+            if (n <= 0)
+                return false;
+            buf_.append(chunk, static_cast<size_t>(n));
+        }
+    }
+
+  private:
+    int fd_;
+    std::string buf_;
+};
+
+/** Answers every volley with one long line at almost no model cost. */
+class LongReplyModel : public ServeModel
+{
+  public:
+    size_t numInputs() const override { return 4; }
+    std::string name() const override { return "long-reply"; }
+    bool transactional() const override { return true; }
+
+    std::vector<std::string>
+    processBatch(std::span<const BatchItem> items, size_t) override
+    {
+        return std::vector<std::string>(items.size(),
+                                        std::string(kReplyBytes, 'x'));
+    }
+
+    static constexpr size_t kReplyBytes = 256;
+};
+
+TEST(StreamServer, SlowTcpReaderIsPacedNotForceClosed)
+{
+    // A client that stops reading mid-burst, with the default egress
+    // ring and batch size: once the socket buffers fill, the batcher
+    // must hold the session's volleys back (egress credit) instead of
+    // overflowing the ring and force-closing the session. 256-byte
+    // replies fill the socket buffers within the first ~450 volleys.
+    ServeConfig config;
+    config.window = 1;
+    config.deadlineMs = 10000; // no deadline drop or shed in 100 ms
+    StreamServer server(std::make_unique<LongReplyModel>(), config);
+    server.start();
+    TcpTransport tcp(server, 0);
+    tcp.serveAsync();
+    const uint64_t waits0 = counterValue("serve.egress.credit_waits");
+    const uint64_t closed0 =
+        counterValue("serve.sessions.force_closed");
+
+    const int fd = connectLoopback(tcp.port());
+    ASSERT_GE(fd, 0);
+    constexpr size_t kVolleys = 1000;
+    std::thread writer([fd] {
+        std::string out = "stserve 1\naddresses 4\n";
+        for (size_t w = 0; w < kVolleys; ++w)
+            out += std::to_string(w) + " " + std::to_string(w % 4) +
+                   "\n";
+        out += "end\n";
+        size_t sent = 0;
+        while (sent < out.size()) {
+            const ssize_t n = ::send(fd, out.data() + sent,
+                                     out.size() - sent, MSG_NOSIGNAL);
+            if (n <= 0)
+                return;
+            sent += static_cast<size_t>(n);
+        }
+    });
+
+    SocketLines reader(fd);
+    std::string line;
+    EXPECT_TRUE(reader.next(line) && line.rfind("stserve-ok", 0) == 0)
+        << line;
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    const auto resumed = std::chrono::steady_clock::now();
+    size_t delivered = 0;
+    size_t dropped = 0;
+    std::string last;
+    while (reader.next(line)) {
+        if (line.rfind("volley ", 0) == 0) {
+            ++delivered;
+        } else if (line.rfind("drop ", 0) == 0) {
+            ++dropped;
+        } else if (line.rfind("note ", 0) != 0) {
+            last = line;
+            break;
+        }
+    }
+    const auto finished = std::chrono::steady_clock::now();
+    ::shutdown(fd, SHUT_RDWR); // unblocks the writer if the read failed
+    writer.join();
+    ::close(fd);
+
+    EXPECT_EQ(last, "end volleys " + std::to_string(delivered) +
+                        " drops " + std::to_string(dropped));
+    EXPECT_EQ(delivered + dropped, kVolleys);
+    EXPECT_LT(finished - resumed, std::chrono::milliseconds(100));
+    EXPECT_EQ(counterValue("serve.sessions.force_closed"), closed0);
+    // The pause really did run the egress ring out of credit.
+    EXPECT_GE(counterValue("serve.egress.credit_waits"),
+              waits0 + kTick);
+    tcp.stop();
+    server.requestStop();
+    EXPECT_TRUE(server.waitDrained());
 }
 
 TEST(WireVolley, EncodesInfAndFiniteTimes)
