@@ -11,6 +11,9 @@
 
 #include "bench_common.hpp"
 
+#include <array>
+
+#include "core/eval_plan.hpp"
 #include "neuron/srm0_network.hpp"
 #include "neuron/srm0_reference.hpp"
 #include "util/rng.hpp"
@@ -81,9 +84,15 @@ printFigure()
                  "domain equivalence).\n\n";
 
     std::cout << "Compiled lane-blocked plan vs graph interpreter "
-                 "(both single-thread, identical outputs):\n";
-    AsciiTable perf({"synapses", "volleys", "interp v/s",
-                     "compiled v/s", "speedup"});
+                 "(both single-thread, identical outputs; one v/s "
+                 "column per block body this host runs):\n";
+    const std::span<const detail::BlockBody> bodies =
+        detail::hostBlockBodies();
+    std::vector<std::string> header = {"synapses", "volleys", "interp v/s",
+                                       "compiled v/s", "speedup"};
+    for (const detail::BlockBody &body : bodies)
+        header.push_back(std::string(body.name) + " v/s");
+    AsciiTable perf(header);
     Rng perf_rng(15);
     for (size_t q : {4, 16, 32}) {
         Network net = buildSrm0Network(
@@ -108,9 +117,32 @@ printFigure()
         benchmark::DoNotOptimize(batched);
         double vps = static_cast<double>(probes) / compiled_secs;
         double speedup = interp_secs / compiled_secs;
-        perf.row(q, probes,
-                 static_cast<double>(probes) / interp_secs, vps,
-                 speedup);
+        std::vector<std::string> fields = {
+            AsciiTable::format(q), AsciiTable::format(probes),
+            AsciiTable::format(static_cast<double>(probes) / interp_secs),
+            AsciiTable::format(vps), AsciiTable::format(speedup)};
+        // Each body on the same volleys' full blocks, straight through
+        // its entry point (the compiled column runs only the widest).
+        const EvalProgramView prog = net.compile().live.view();
+        const size_t blocks = probes / kEvalBlockLanes;
+        std::vector<Time> values;
+        for (const detail::BlockBody &body : bodies) {
+            const auto runBlock = [&](size_t b) {
+                std::array<const Time *, kEvalBlockLanes> rows;
+                for (size_t l = 0; l < kEvalBlockLanes; ++l)
+                    rows[l] = volleys[b * kEvalBlockLanes + l].data();
+                body.run(prog, net.nodes(), rows, values);
+                benchmark::DoNotOptimize(values.data());
+            };
+            runBlock(0); // warm the arena
+            sw.reset();
+            for (size_t b = 0; b < blocks; ++b)
+                runBlock(b);
+            fields.push_back(AsciiTable::format(
+                static_cast<double>(blocks * kEvalBlockLanes) /
+                sw.seconds()));
+        }
+        perf.addRow(fields);
         bench::record("fig12_srm0", "synapses=" + std::to_string(q),
                       vps, speedup);
     }

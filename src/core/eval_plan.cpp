@@ -4,8 +4,10 @@
 #include <array>
 #include <bit>
 #include <limits>
+#include <string>
 
 #include "core/algebra.hpp"
+#include "core/eval_block_body.hpp"
 #include "core/network.hpp"
 #include "obs/obs.hpp"
 #include "util/thread_pool.hpp"
@@ -304,213 +306,121 @@ EvalProgram::run(std::span<const Node> nodes,
 
 namespace {
 
-#if !defined(__aarch64__)
-
 /**
- * Portable body of runProgramBlock (block loops fully unrolled); the
- * SIMD bodies must match it bit-for-bit. Row layout and per-op
- * semantics are documented on runProgramBlock.
+ * Portable row ops: one row is eight uint64 lanes, each op a plain
+ * lane loop with the same branch-free selects as runProgram. The lane
+ * loops are unrolled so that a row stays in registers; left as loops,
+ * rows went through the stack and the body ran ~30% slower.
  */
-void
-runBlockScalar8(const EvalProgramView &prog, std::span<const Node> nodes,
-                EvalBlockLanes rows, std::vector<Time> &values)
+struct ScalarRow
 {
-    constexpr size_t lanes = kEvalBlockLanes;
-    values.resize(prog.op.size() * lanes);
-    Time *v = values.data();
-    const uint32_t *slot = prog.argSlot.data();
-    const Time::rep *dly = prog.argDelay.data();
-    constexpr Time::rep inf = std::numeric_limits<Time::rep>::max();
-    auto rowOf = [&](uint32_t s) { return v + size_t{s} * lanes; };
-    auto get = [](const Time *row, size_t l) {
-        return std::bit_cast<Time::rep>(row[l]);
-    };
-    auto sat = [](Time::rep x, Time::rep d) {
-        const Time::rep s = x + d;
-        return s < x ? inf : s;
-    };
-    size_t i = 0;
-    for (uint32_t runedge : prog.runEnd) {
-        const size_t end = runedge;
-        switch (static_cast<PlanOp>(prog.op[i])) {
-          case PlanOp::Input:
-            for (; i < end; ++i) {
-                Time *o = v + i * lanes;
-                const uint32_t src = prog.extra[i];
-                for (size_t l = 0; l < lanes; ++l)
-                    o[l] = rows[l][src];
-            }
-            break;
-          case PlanOp::Config:
-            for (; i < end; ++i) {
-                const Time c = nodes[prog.extra[i]].configValue;
-                Time *o = v + i * lanes;
-                for (size_t l = 0; l < lanes; ++l)
-                    o[l] = c;
-            }
-            break;
-          case PlanOp::Min2: {
-            uint32_t e = prog.argBeg[i];
-            for (; i < end; ++i, e += 2) {
-                const Time *a = rowOf(slot[e]);
-                const Time *b = rowOf(slot[e + 1]);
-                Time *o = v + i * lanes;
-                for (size_t l = 0; l < lanes; ++l)
-                    o[l] = std::bit_cast<Time>(
-                        std::min(get(a, l), get(b, l)));
-            }
-            break;
-          }
-          case PlanOp::Max2: {
-            uint32_t e = prog.argBeg[i];
-            for (; i < end; ++i, e += 2) {
-                const Time *a = rowOf(slot[e]);
-                const Time *b = rowOf(slot[e + 1]);
-                Time *o = v + i * lanes;
-                for (size_t l = 0; l < lanes; ++l)
-                    o[l] = std::bit_cast<Time>(
-                        std::max(get(a, l), get(b, l)));
-            }
-            break;
-          }
-          case PlanOp::Lt2: {
-            uint32_t e = prog.argBeg[i];
-            for (; i < end; ++i, e += 2) {
-                const Time *a = rowOf(slot[e]);
-                const Time *b = rowOf(slot[e + 1]);
-                Time *o = v + i * lanes;
-                for (size_t l = 0; l < lanes; ++l) {
-                    const Time::rep x = get(a, l);
-                    o[l] =
-                        std::bit_cast<Time>(x < get(b, l) ? x : inf);
-                }
-            }
-            break;
-          }
-          case PlanOp::Min:
-            // Lane-outer accumulation keeps the running value in a
-            // register across the edge walk (no output-row re-reads).
-            for (; i < end; ++i) {
-                const uint32_t beg = prog.argBeg[i];
-                const uint32_t eend = prog.argBeg[i + 1];
-                Time *o = v + i * lanes;
-                for (size_t l = 0; l < lanes; ++l) {
-                    Time::rep m = sat(get(rowOf(slot[beg]), l),
-                                      dly[beg]);
-                    for (uint32_t e = beg + 1; e < eend; ++e)
-                        m = std::min(
-                            m, sat(get(rowOf(slot[e]), l), dly[e]));
-                    o[l] = std::bit_cast<Time>(m);
-                }
-            }
-            break;
-          case PlanOp::Max:
-            for (; i < end; ++i) {
-                const uint32_t beg = prog.argBeg[i];
-                const uint32_t eend = prog.argBeg[i + 1];
-                Time *o = v + i * lanes;
-                for (size_t l = 0; l < lanes; ++l) {
-                    Time::rep m = sat(get(rowOf(slot[beg]), l),
-                                      dly[beg]);
-                    for (uint32_t e = beg + 1; e < eend; ++e)
-                        m = std::max(
-                            m, sat(get(rowOf(slot[e]), l), dly[e]));
-                    o[l] = std::bit_cast<Time>(m);
-                }
-            }
-            break;
-          case PlanOp::Lt:
-            for (; i < end; ++i) {
-                const uint32_t beg = prog.argBeg[i];
-                const Time *a = rowOf(slot[beg]);
-                const Time *b = rowOf(slot[beg + 1]);
-                const Time::rep da = dly[beg];
-                const Time::rep db = dly[beg + 1];
-                Time *o = v + i * lanes;
-                for (size_t l = 0; l < lanes; ++l) {
-                    const Time::rep x = sat(get(a, l), da);
-                    o[l] = std::bit_cast<Time>(
-                        x < sat(get(b, l), db) ? x : inf);
-                }
-            }
-            break;
-        }
+    using Row = std::array<Time::rep, kEvalBlockLanes>;
+    static constexpr size_t lanes = kEvalBlockLanes;
+    static constexpr Time::rep inf = std::numeric_limits<Time::rep>::max();
+
+    static Row
+    load(const Time *p)
+    {
+        Row r;
+#pragma GCC unroll 8
+        for (size_t l = 0; l < lanes; ++l)
+            r[l] = std::bit_cast<Time::rep>(p[l]);
+        return r;
     }
-}
-
-#endif // !__aarch64__
-
-#ifdef ST_EVAL_PLAN_SIMD
-
-/** One-time CPUID probe guarding the AVX2 executor body. */
-bool
-cpuHasAvx2()
-{
-    static const bool ok = __builtin_cpu_supports("avx2");
-    return ok;
-}
-
-#ifdef ST_EVAL_PLAN_SIMD512
-
-/** One-time CPUID probe guarding the AVX-512 executor body. */
-bool
-cpuHasAvx512()
-{
-    static const bool ok = __builtin_cpu_supports("avx512f");
-    return ok;
-}
-
-#endif // ST_EVAL_PLAN_SIMD512
-#endif // ST_EVAL_PLAN_SIMD
+    static void
+    store(Time *p, const Row &r)
+    {
+#pragma GCC unroll 8
+        for (size_t l = 0; l < lanes; ++l)
+            p[l] = std::bit_cast<Time>(r[l]);
+    }
+    static Row
+    splat(Time::rep x)
+    {
+        Row r;
+        r.fill(x);
+        return r;
+    }
+    static Row
+    min(Row a, const Row &b)
+    {
+#pragma GCC unroll 8
+        for (size_t l = 0; l < lanes; ++l)
+            a[l] = std::min(a[l], b[l]);
+        return a;
+    }
+    static Row
+    max(Row a, const Row &b)
+    {
+#pragma GCC unroll 8
+        for (size_t l = 0; l < lanes; ++l)
+            a[l] = std::max(a[l], b[l]);
+        return a;
+    }
+    static Row
+    lt(Row a, const Row &b)
+    {
+#pragma GCC unroll 8
+        for (size_t l = 0; l < lanes; ++l)
+            a[l] = a[l] < b[l] ? a[l] : inf;
+        return a;
+    }
+    static Row
+    sat(Row x, Time::rep d)
+    {
+#pragma GCC unroll 8
+        for (size_t l = 0; l < lanes; ++l) {
+            const Time::rep s = x[l] + d;
+            x[l] = s < x[l] ? inf : s;
+        }
+        return x;
+    }
+};
 
 } // namespace
+
+namespace detail {
+
+std::span<const BlockBody>
+hostBlockBodies()
+{
+    static const std::vector<BlockBody> bodies = [] {
+        std::vector<BlockBody> b;
+#if defined(__aarch64__)
+        b.push_back({"neon", runBlockLanes8Neon});
+#endif
+#ifdef ST_EVAL_PLAN_SIMD512
+        if (__builtin_cpu_supports("avx512f"))
+            b.push_back({"avx512", runBlockLanes8Avx512});
+#endif
+#ifdef ST_EVAL_PLAN_SIMD
+        if (__builtin_cpu_supports("avx2"))
+            b.push_back({"avx2", runBlockLanes8Avx2});
+#endif
+        b.push_back({"scalar", runBlockBody<ScalarRow>});
+        return b;
+    }();
+    return bodies;
+}
+
+} // namespace detail
 
 const char *
 evalSimdBodyName()
 {
-#if defined(__aarch64__)
-    return "neon";
-#else
-#ifdef ST_EVAL_PLAN_SIMD
-#ifdef ST_EVAL_PLAN_SIMD512
-    if (cpuHasAvx512())
-        return "avx512";
-#endif
-    if (cpuHasAvx2())
-        return "avx2";
-#endif
-    return "scalar";
-#endif // __aarch64__
+    return detail::hostBlockBodies().front().name;
 }
 
 void
 runProgramBlock(const EvalProgramView &prog, std::span<const Node> nodes,
                 EvalBlockLanes rows, std::vector<Time> &values)
 {
-#if defined(__aarch64__)
-    // NEON is baseline on aarch64: compile-time dispatch, no probe.
-    ST_OBS_ADD("eval.block.neon", 1);
-    detail::runBlockLanes8Neon(prog, nodes, rows, values);
-#else
-#ifdef ST_EVAL_PLAN_SIMD
-#ifdef ST_EVAL_PLAN_SIMD512
-    // Widest ISA first: the probes are one-time statics, so the
-    // steady state is two predictable branches.
-    if (cpuHasAvx512()) {
-        ST_OBS_ADD("eval.block.avx512", 1);
-        detail::runBlockLanes8Avx512(prog, nodes, rows, values);
-        return;
-    }
-#endif
-    if (cpuHasAvx2()) {
-        ST_OBS_ADD("eval.block.avx2", 1);
-        detail::runBlockLanes8Avx2(prog, nodes, rows, values);
-        return;
-    }
-#endif
-    ST_OBS_ADD("eval.block.scalar", 1);
-    runBlockScalar8(prog, nodes, rows, values);
-#endif // __aarch64__
+    // The table is fixed for the process, so this call site's counter
+    // handle resolves once, to the body it then always runs.
+    static const detail::BlockBody body = detail::hostBlockBodies().front();
+    static const std::string counter = std::string("eval.block.") + body.name;
+    ST_OBS_ADD(counter, 1);
+    body.run(prog, nodes, rows, values);
 }
 
 void

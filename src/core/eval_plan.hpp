@@ -132,8 +132,9 @@ using EvalBlockLanes = std::span<const Time *const, kEvalBlockLanes>;
  * + l] — so each instruction becomes a handful of *contiguous* row
  * operations shared across the block, instead of eight scattered
  * single-volley walks. Instruction-stream overhead (dispatch, slot
- * loads) is paid once per block. Dispatches to the widest SIMD body
- * this machine runs (see evalSimdBodyName()).
+ * loads) is paid once per block. Runs the widest body this machine
+ * runs, detail::hostBlockBodies().front(), and adds 1 to its
+ * `eval.block.<name>` counter.
  */
 void runProgramBlock(const EvalProgramView &prog,
                      std::span<const Node> nodes, EvalBlockLanes rows,
@@ -200,9 +201,10 @@ struct EvalProgram
 };
 
 /**
- * The SIMD body runProgramBlock dispatches to on this machine:
- * "avx512", "avx2", "neon" or "scalar". Health snapshots report it so
- * an operator can tell which executor a deployment actually runs.
+ * The body runProgramBlock runs on this machine (the name of
+ * detail::hostBlockBodies().front()): "avx512", "avx2", "neon" or
+ * "scalar". Health snapshots report it so an operator can tell which
+ * executor a deployment actually runs.
  */
 const char *evalSimdBodyName();
 
@@ -236,30 +238,29 @@ EvalPlan buildEvalPlan(const Network &net);
 
 namespace detail {
 
+/** The signature every lane-blocked body shares (runProgramBlock's). */
+using BlockBodyFn = void(const EvalProgramView &prog,
+                         std::span<const Node> nodes, EvalBlockLanes rows,
+                         std::vector<Time> &values);
+
+/** One body of runProgramBlock: its name and its entry point. */
+struct BlockBody
+{
+    const char *name; //!< evalSimdBodyName(), `eval.block.<name>`
+    BlockBodyFn *run;
+};
+
 /**
- * SIMD bodies of runProgramBlock, each bit-identical to the portable
- * body on every input. The x86-64 bodies live in their own
- * translation units compiled with the matching -m flag
- * (eval_plan_simd.cpp for AVX2, eval_plan_simd512.cpp for AVX-512F)
- * and are entered only after a one-time runtime CPUID probe picks the
- * widest available ISA, so the same binary runs everywhere from SSE2
- * up. The NEON body (eval_plan_simd_neon.cpp) is baseline on aarch64
- * and dispatched at compile time.
+ * Every lane-blocked body this build compiled and this CPU runs,
+ * widest first; runProgramBlock runs front(). All of them run the one
+ * op switch of eval_block_body.hpp over per-ISA row ops, and each is
+ * bit-identical to runProgram on every lane. "avx512" and "avx2" live
+ * in their own translation units compiled with -mavx512f / -mavx2 and
+ * are listed only after a one-time CPUID probe succeeds, so the same
+ * binary runs everywhere from SSE2 up; "neon" is baseline on aarch64;
+ * the portable "scalar" body is always last.
  */
-void runBlockLanes8Avx2(const EvalProgramView &prog,
-                        std::span<const Node> nodes, EvalBlockLanes rows,
-                        std::vector<Time> &values);
-
-/** AVX-512F variant: one 8x64 vector per value row. */
-void runBlockLanes8Avx512(const EvalProgramView &prog,
-                          std::span<const Node> nodes,
-                          EvalBlockLanes rows,
-                          std::vector<Time> &values);
-
-/** aarch64 NEON variant: four 2x64 vectors per value row. */
-void runBlockLanes8Neon(const EvalProgramView &prog,
-                        std::span<const Node> nodes, EvalBlockLanes rows,
-                        std::vector<Time> &values);
+std::span<const BlockBody> hostBlockBodies();
 
 } // namespace detail
 

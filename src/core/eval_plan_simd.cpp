@@ -1,73 +1,40 @@
 /**
  * @file
- * AVX2 body of runProgramBlock (x86-64 only; this translation
- * unit is compiled with -mavx2 and entered only after the caller's
- * runtime CPUID probe succeeds, so the rest of the library stays at
- * the baseline ISA).
+ * AVX2 row ops of the lane-blocked executor (x86-64 only; this
+ * translation unit is compiled with -mavx2 and entered only after
+ * hostBlockBodies()'s runtime CPUID probe succeeds, so the rest of the
+ * library stays at the baseline ISA).
  *
  * A full block is kEvalBlockLanes == 8 volleys, so every value row is
  * two 256-bit vectors of four uint64 times each. AVX2 has no unsigned
  * 64-bit compare, so min/max/lt flip the sign bit of both operands and
  * use the signed vpcmpgtq — the classic bias trick, exact for every
  * bit pattern including the all-ones inf representation. Saturating
- * delay addition keeps the branchless form of the scalar executor:
- * a wrapped sum compares below its operand, and OR-ing the resulting
+ * delay addition keeps the branchless form of the scalar rows: a
+ * wrapped sum compares below its operand, and OR-ing the resulting
  * all-ones compare mask into the sum lands exactly on inf.
  */
 
-#include "core/eval_plan.hpp"
-
 #include <immintrin.h>
 
-#include <bit>
 #include <cstdint>
 #include <limits>
 
-#include "core/network.hpp"
+#include "core/eval_block_body.hpp"
 
 namespace st::detail {
 
 namespace {
 
-static_assert(kEvalBlockLanes == 8,
-              "the AVX2 executor hard-codes two 4-wide vectors per row");
-
-/** One value row of a full block: 8 lanes as two 4x64 vectors. */
-struct Row
-{
-    __m256i lo, hi;
-};
-
-inline Row
-loadRow(const Time *p)
-{
-    // __m256i loads may alias any object representation, and Time is
-    // a single trivially copyable uint64.
-    return {_mm256_loadu_si256(reinterpret_cast<const __m256i *>(p)),
-            _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(p + 4))};
-}
-
-inline void
-storeRow(Time *p, Row r)
-{
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(p), r.lo);
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(p + 4), r.hi);
-}
-
-/** Sign-bit flip making signed vpcmpgtq order unsigned operands. */
-inline __m256i
-bias()
-{
-    return _mm256_set1_epi64x(std::numeric_limits<int64_t>::min());
-}
-
 /** a > b, unsigned per 64-bit lane (all-ones mask where true). */
 inline __m256i
 vgtu(__m256i a, __m256i b)
 {
-    return _mm256_cmpgt_epi64(_mm256_xor_si256(a, bias()),
-                              _mm256_xor_si256(b, bias()));
+    // The sign-bit flip makes signed vpcmpgtq order unsigned operands.
+    const __m256i bias =
+        _mm256_set1_epi64x(std::numeric_limits<int64_t>::min());
+    return _mm256_cmpgt_epi64(_mm256_xor_si256(a, bias),
+                              _mm256_xor_si256(b, bias));
 }
 
 inline __m256i
@@ -97,13 +64,48 @@ vsat(__m256i x, __m256i d)
     return _mm256_or_si256(s, vgtu(x, s));
 }
 
-inline Row
-satRow(Row r, Time::rep d)
+struct Avx2Row
 {
-    const __m256i dv =
-        _mm256_set1_epi64x(static_cast<long long>(d));
-    return {vsat(r.lo, dv), vsat(r.hi, dv)};
-}
+    /** One value row: 8 lanes as two 4x64 vectors. */
+    struct Row
+    {
+        __m256i lo, hi;
+    };
+    static constexpr size_t lanes = 8;
+
+    static Row
+    load(const Time *p)
+    {
+        // __m256i loads may alias any object representation, and Time
+        // is a single trivially copyable uint64.
+        return {_mm256_loadu_si256(reinterpret_cast<const __m256i *>(p)),
+                _mm256_loadu_si256(
+                    reinterpret_cast<const __m256i *>(p + 4))};
+    }
+    static void
+    store(Time *p, Row r)
+    {
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(p), r.lo);
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(p + 4), r.hi);
+    }
+    static Row
+    splat(Time::rep x)
+    {
+        const __m256i c = _mm256_set1_epi64x(static_cast<long long>(x));
+        return {c, c};
+    }
+    /** The 4x64 op @p f on each half of the row. */
+    template <class F>
+    static Row
+    each(Row a, Row b, F f)
+    {
+        return {f(a.lo, b.lo), f(a.hi, b.hi)};
+    }
+    static Row min(Row a, Row b) { return each(a, b, vmin); }
+    static Row max(Row a, Row b) { return each(a, b, vmax); }
+    static Row lt(Row a, Row b) { return each(a, b, vlt); }
+    static Row sat(Row x, Time::rep d) { return each(x, splat(d), vsat); }
+};
 
 } // namespace
 
@@ -111,104 +113,7 @@ void
 runBlockLanes8Avx2(const EvalProgramView &prog, std::span<const Node> nodes,
                    EvalBlockLanes rows, std::vector<Time> &values)
 {
-    constexpr size_t lanes = kEvalBlockLanes;
-    values.resize(prog.op.size() * lanes);
-    Time *v = values.data();
-    const uint32_t *slot = prog.argSlot.data();
-    const Time::rep *dly = prog.argDelay.data();
-    auto rowOf = [&](uint32_t s) { return v + size_t{s} * lanes; };
-    size_t i = 0;
-    for (uint32_t runedge : prog.runEnd) {
-        const size_t end = runedge;
-        switch (static_cast<PlanOp>(prog.op[i])) {
-          case PlanOp::Input:
-            // Lanes live in separate volley vectors here, so this
-            // stays a scalar gather.
-            for (; i < end; ++i) {
-                Time *o = v + i * lanes;
-                const uint32_t src = prog.extra[i];
-                for (size_t l = 0; l < lanes; ++l)
-                    o[l] = rows[l][src];
-            }
-            break;
-          case PlanOp::Config:
-            for (; i < end; ++i) {
-                const __m256i c =
-                    _mm256_set1_epi64x(static_cast<long long>(
-                        std::bit_cast<Time::rep>(
-                            nodes[prog.extra[i]].configValue)));
-                storeRow(v + i * lanes, Row{c, c});
-            }
-            break;
-          case PlanOp::Min2: {
-            uint32_t e = prog.argBeg[i];
-            for (; i < end; ++i, e += 2) {
-                const Row a = loadRow(rowOf(slot[e]));
-                const Row b = loadRow(rowOf(slot[e + 1]));
-                storeRow(v + i * lanes,
-                         Row{vmin(a.lo, b.lo), vmin(a.hi, b.hi)});
-            }
-            break;
-          }
-          case PlanOp::Max2: {
-            uint32_t e = prog.argBeg[i];
-            for (; i < end; ++i, e += 2) {
-                const Row a = loadRow(rowOf(slot[e]));
-                const Row b = loadRow(rowOf(slot[e + 1]));
-                storeRow(v + i * lanes,
-                         Row{vmax(a.lo, b.lo), vmax(a.hi, b.hi)});
-            }
-            break;
-          }
-          case PlanOp::Lt2: {
-            uint32_t e = prog.argBeg[i];
-            for (; i < end; ++i, e += 2) {
-                const Row a = loadRow(rowOf(slot[e]));
-                const Row b = loadRow(rowOf(slot[e + 1]));
-                storeRow(v + i * lanes,
-                         Row{vlt(a.lo, b.lo), vlt(a.hi, b.hi)});
-            }
-            break;
-          }
-          case PlanOp::Min:
-            for (; i < end; ++i) {
-                const uint32_t beg = prog.argBeg[i];
-                const uint32_t eend = prog.argBeg[i + 1];
-                Row m = satRow(loadRow(rowOf(slot[beg])), dly[beg]);
-                for (uint32_t e = beg + 1; e < eend; ++e) {
-                    const Row x =
-                        satRow(loadRow(rowOf(slot[e])), dly[e]);
-                    m = Row{vmin(m.lo, x.lo), vmin(m.hi, x.hi)};
-                }
-                storeRow(v + i * lanes, m);
-            }
-            break;
-          case PlanOp::Max:
-            for (; i < end; ++i) {
-                const uint32_t beg = prog.argBeg[i];
-                const uint32_t eend = prog.argBeg[i + 1];
-                Row m = satRow(loadRow(rowOf(slot[beg])), dly[beg]);
-                for (uint32_t e = beg + 1; e < eend; ++e) {
-                    const Row x =
-                        satRow(loadRow(rowOf(slot[e])), dly[e]);
-                    m = Row{vmax(m.lo, x.lo), vmax(m.hi, x.hi)};
-                }
-                storeRow(v + i * lanes, m);
-            }
-            break;
-          case PlanOp::Lt:
-            for (; i < end; ++i) {
-                const uint32_t beg = prog.argBeg[i];
-                const Row a =
-                    satRow(loadRow(rowOf(slot[beg])), dly[beg]);
-                const Row b = satRow(loadRow(rowOf(slot[beg + 1])),
-                                     dly[beg + 1]);
-                storeRow(v + i * lanes,
-                         Row{vlt(a.lo, b.lo), vlt(a.hi, b.hi)});
-            }
-            break;
-        }
-    }
+    runBlockBody<Avx2Row>(prog, nodes, rows, values);
 }
 
 } // namespace st::detail

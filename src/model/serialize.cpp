@@ -478,9 +478,21 @@ decodePlan(const StmfFile &file, PlanModel &out)
 }
 
 void
+PlanModel::checkWidth(std::span<const Time> volley) const
+{
+    // A width mismatch would read out of the volley's bounds in the
+    // Input instructions.
+    if (volley.size() != numInputs_)
+        throw std::invalid_argument(
+            "plan model: volley width " + std::to_string(volley.size()) +
+            " != " + std::to_string(numInputs_));
+}
+
+void
 PlanModel::evaluate(std::span<const Time> inputs, EvalScratch &scratch,
                     std::vector<Time> &out) const
 {
+    checkWidth(inputs);
     runProgram(program_, nodes_, inputs, scratch.values);
     out.resize(program_.outSlot.size());
     for (size_t k = 0; k < program_.outSlot.size(); ++k)
@@ -492,14 +504,8 @@ PlanModel::evaluateBatch(std::span<const std::vector<Time>> batch,
                          size_t nthreads) const
 {
     std::vector<std::span<const Time>> volleys(batch.begin(), batch.end());
-    for (std::span<const Time> v : volleys) {
-        // A width mismatch would read out of the volley's bounds in
-        // the Input instructions.
-        if (v.size() != numInputs_)
-            throw std::invalid_argument(
-                "plan model: volley width " + std::to_string(v.size()) +
-                " != " + std::to_string(numInputs_));
-    }
+    for (std::span<const Time> v : volleys)
+        checkWidth(v);
     std::vector<std::vector<Time>> out(batch.size());
     runProgramBatch(program_, nodes_, volleys, nthreads, out);
     return out;

@@ -82,7 +82,10 @@ class PlanModel
     /** The validated instruction stream (views into the backing). */
     const EvalProgramView &program() const { return program_; }
 
-    /** Evaluate one volley into @p out (resized to numOutputs()). */
+    /**
+     * Evaluate one volley into @p out (resized to numOutputs()).
+     * Throws std::invalid_argument if its width is not numInputs().
+     */
     void evaluate(std::span<const Time> inputs, EvalScratch &scratch,
                   std::vector<Time> &out) const;
 
@@ -100,6 +103,9 @@ class PlanModel
 
   private:
     friend Status decodePlan(const StmfFile &file, PlanModel &out);
+
+    /** Throw std::invalid_argument unless @p volley has numInputs(). */
+    void checkWidth(std::span<const Time> volley) const;
 
     EvalProgramView program_;
     /**

@@ -41,13 +41,7 @@ class AsciiTable
         addRow(fields);
     }
 
-    /** Render the table. */
-    void writeTo(std::ostream &os) const;
-
-    /** Render to a string. */
-    std::string str() const;
-
-  private:
+    /** Format one streamable value as a cell. */
     template <typename T>
     static std::string
     format(const T &value)
@@ -57,6 +51,13 @@ class AsciiTable
         return os.str();
     }
 
+    /** Render the table. */
+    void writeTo(std::ostream &os) const;
+
+    /** Render to a string. */
+    std::string str() const;
+
+  private:
     static bool looksNumeric(const std::string &s);
 
     std::vector<std::string> header_;

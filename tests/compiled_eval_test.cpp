@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "core/eval_plan.hpp"
 #include "core/network.hpp"
 #include "neuron/response.hpp"
@@ -30,7 +32,8 @@ using testing::V;
  * inc chains, and a random output set (so DCE has real work to do).
  */
 Network
-richRandomNetwork(Rng &rng, size_t num_inputs, size_t num_blocks)
+richRandomNetwork(Rng &rng, size_t num_inputs, size_t num_blocks,
+                  bool huge_delays = false)
 {
     Network net(num_inputs);
     auto randomNode = [&]() {
@@ -45,8 +48,12 @@ richRandomNetwork(Rng &rng, size_t num_inputs, size_t num_blocks)
             // Inc chains of depth 1..3 exercise fusion.
             NodeId id = randomNode();
             size_t depth = 1 + rng.below(3);
+            // Huge hops fold to edge delays within 2^5 of 2^64 (or
+            // saturate to inf), so saturating adds wrap on small times.
             for (size_t d = 0; d < depth; ++d)
-                id = net.inc(id, rng.below(5));
+                id = net.inc(id, huge_delays && rng.chance(0.5)
+                                     ? ~Time::rep{0} - rng.below(32)
+                                     : rng.below(5));
             break;
           }
           case 2:
@@ -179,6 +186,59 @@ TEST(CompiledEval, BatchMatchesSerialAcrossThreadCounts)
 
     volleys[3].pop_back();
     EXPECT_THROW(net.evaluateBatch(volleys, 2), std::invalid_argument);
+}
+
+TEST(CompiledEval, EveryHostBodyMatchesScalarWalk)
+{
+    // runProgramBlock runs only the widest body; each narrower one the
+    // host can run must match the single-volley walk on every lane and
+    // every value slot too, on both the live and the full program.
+    const std::span<const detail::BlockBody> bodies =
+        detail::hostBlockBodies();
+    ASSERT_FALSE(bodies.empty());
+    EXPECT_STREQ(bodies.front().name, evalSimdBodyName());
+    EXPECT_STREQ(bodies.back().name, "scalar");
+
+    std::vector<Time> want, got;
+    auto expectBlockMatches = [&](const EvalProgramView &prog,
+                                  std::span<const Node> nodes,
+                                  const std::vector<std::vector<Time>> &vs) {
+        std::array<const Time *, kEvalBlockLanes> rows;
+        for (size_t l = 0; l < kEvalBlockLanes; ++l)
+            rows[l] = vs[l].data();
+        for (const detail::BlockBody &body : bodies) {
+            body.run(prog, nodes, rows, got);
+            ASSERT_EQ(got.size(), prog.size() * kEvalBlockLanes);
+            for (size_t l = 0; l < kEvalBlockLanes; ++l) {
+                runProgram(prog, nodes, vs[l], want);
+                for (size_t i = 0; i < prog.size(); ++i)
+                    ASSERT_EQ(got[i * kEvalBlockLanes + l], want[i])
+                        << body.name << " lane " << l << " slot " << i;
+            }
+        }
+    };
+
+    for (uint64_t seed = 0; seed < 48; ++seed) {
+        Rng rng(0xb0d1e5 + seed);
+        const size_t width = 1 + rng.below(6);
+        Network net = richRandomNetwork(rng, width, 10 + rng.below(40),
+                                        /*huge_delays=*/seed % 2 == 1);
+        for (size_t round = 0; round < 3; ++round) {
+            // Config values are read live: change them between rounds.
+            for (uint32_t c : net.compile().configNodes)
+                net.setConfig(c, rng.chance(0.3) ? INF
+                                                 : Time(rng.below(20)));
+            std::vector<std::vector<Time>> volleys;
+            for (size_t l = 0; l < kEvalBlockLanes; ++l)
+                volleys.push_back(
+                    round == 2 ? std::vector<Time>(width, INF)
+                               : randomVolley(rng, width, 20,
+                                              l % 2 ? 0.8 : 0.2));
+            const EvalPlan &plan = net.compile();
+            expectBlockMatches(plan.live.view(), net.nodes(), volleys);
+            expectBlockMatches(plan.full.view(), net.nodes(), volleys);
+        }
+    }
 }
 
 TEST(CompiledEval, DeadNodesAreEliminated)

@@ -197,6 +197,34 @@ TEST(ModelIoPlan, MatchesCompiledNetworkOnBothPaths)
     }
 }
 
+TEST(ModelIoPlan, WrongWidthVolleysThrowOnBothEntryPoints)
+{
+    // A short volley would make the Input instructions read past its
+    // end; a long one would be silently truncated.
+    const Network net = makeNetwork(6);
+    const std::string path = tempPath("plan_width.stmf");
+    PackOptions options;
+    options.id = "rt-plan-width";
+    ASSERT_TRUE(packNetwork(net, path, options).isOk());
+    for (const LoadMode mode : {LoadMode::Mmap, LoadMode::Copy}) {
+        LoadedModel loaded;
+        const Status status = loadModel(path, mode, loaded);
+        ASSERT_TRUE(status.isOk()) << status.str();
+        const PlanModel &plan = *loaded.plan;
+        EvalScratch scratch;
+        std::vector<Time> out;
+        for (const size_t width : {5, 7}) {
+            const std::vector<Volley> batch(9, Volley(width, Time(1)));
+            EXPECT_THROW(plan.evaluate(batch[0], scratch, out),
+                         std::invalid_argument)
+                << "width " << width;
+            EXPECT_THROW(plan.evaluateBatch(batch, 1),
+                         std::invalid_argument)
+                << "width " << width;
+        }
+    }
+}
+
 TEST(ModelIoPlan, GrlSectionRoundTripsAndValidates)
 {
     const Network net = makeNetwork(4);

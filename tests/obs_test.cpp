@@ -307,6 +307,35 @@ TEST(ObsMacros, BatchExecutorCountsRealLanesOnly)
             << volleys << " volleys";
     }
 }
+
+TEST(ObsMacros, BlockRunsCountOnTheHostBodyOnly)
+{
+    // perfbench's core.simd_block_frac and the health JSON read these
+    // names: one count per block run, on the body evalSimdBodyName()
+    // names, and none on any other body.
+    const std::string body = evalSimdBodyName();
+    EXPECT_TRUE(body == "avx512" || body == "avx2" || body == "neon" ||
+                body == "scalar")
+        << body;
+    Network net(2);
+    net.markOutput(net.min(net.input(0), net.input(1)));
+    const auto blockCounts = [] {
+        std::map<std::string, uint64_t> counts;
+        for (const auto &c : MetricsRegistry::instance().snapshot().counters)
+            if (c.name.starts_with("eval.block."))
+                counts[c.name] = c.value;
+        return counts;
+    };
+    std::map<std::string, uint64_t> before = blockCounts();
+    net.evaluateBatch(
+        std::vector<std::vector<Time>>(16, {Time(3), Time(1)}), 1);
+    const std::map<std::string, uint64_t> after = blockCounts();
+    ASSERT_TRUE(after.contains("eval.block." + body));
+    for (const auto &[name, count] : after) {
+        const uint64_t want = name == "eval.block." + body ? 2 : 0;
+        EXPECT_EQ(count - before[name], want) << name;
+    }
+}
 #endif
 
 /** Structural JSON scan: brace/bracket balance outside strings. */
